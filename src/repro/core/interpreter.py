@@ -459,7 +459,8 @@ class CommandInterpreter:
         if sub == "on":
             if self.online is None:
                 from repro.diag.online import OnlineMonitor
-                self.online = OnlineMonitor(self.testbed).attach()
+                self.online = OnlineMonitor(self.testbed)
+            self.online.attach()        # idempotent; resumes after off
             return "passive watch enabled (listening to beacons)"
         if sub == "off":
             if self.online is not None:

@@ -25,6 +25,11 @@ Detectors:
   per-expected-beacon loss indicator reconstructed from sequence-number
   gaps (catches loss-rate rises smaller than the quality noise).
 
+Each recurrence is written once, as a column kernel that updates many
+rows of struct-of-arrays state in one vectorised call; the three public
+classes are its one-row views, and the monitor keeps one row per
+directed link.
+
 The monitor never touches the simulation: it consumes no RNG, schedules
 no events and sends no packets, so attaching it leaves the packet
 digest byte-identical — the zero-probe contract the passive serve mode
@@ -37,6 +42,8 @@ import math
 import sys
 import typing as _t
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.diag.findings import FINDING_KINDS, DiagnosisReport, Finding
 from repro.kernel.neighbors import DEFAULT_BEACON_INTERVAL
@@ -103,100 +110,164 @@ def merge_findings(primary: _t.Iterable[Finding],
     return merged
 
 
-def _clamp_finite(x: float) -> float:
-    """Pull an overflowed (infinite) intermediate back to the finite
-    float range; finite inputs pass through untouched.  Two finite
-    samples at opposite ends of the double range make ``a - b``
-    overflow, and a detector's state must stay finite regardless of
-    what the series feeds it."""
-    if x > sys.float_info.max:
-        return sys.float_info.max
-    if x < -sys.float_info.max:
-        return -sys.float_info.max
-    return x
+#: Largest finite double: detector state is clamped into [-_FMAX, _FMAX].
+_FMAX = sys.float_info.max
 
 
-class WindowStats:
-    """Fixed-capacity ring buffer with O(1) running mean/variance.
+def _clamp_finite(x):
+    """Pull overflowed (infinite) intermediates back to the finite float
+    range; finite inputs pass through untouched.  Two finite samples at
+    opposite ends of the double range make ``a - b`` overflow, and a
+    detector's state must stay finite regardless of what the series
+    feeds it."""
+    return np.minimum(np.maximum(x, -_FMAX), _FMAX)
 
-    ``push`` evicts the oldest sample once full and maintains running
-    sums, so mean/variance never rescan the buffer.  Sums are rebuilt
-    from the buffer every ``capacity * 256`` pushes to bound float
-    cancellation drift on arbitrarily long series — still amortised
-    O(1) per push, and memory is exactly ``capacity`` floats forever.
+
+class _Columns:
+    """Struct-of-arrays state: one numpy column per field, one row per
+    directed link (or the single row of a standalone detector).
+
+    ``fields`` maps a column name to its dtype, or to ``(dtype, width)``
+    for a 2-D column (a ring buffer's samples).  Every column starts
+    zero-filled with one row; :meth:`grow` adds zero rows.
     """
 
-    __slots__ = ("capacity", "_buf", "_next", "_count", "_sum", "_sumsq",
-                 "_pushes")
+    def __init__(self, fields: dict) -> None:
+        self._fields = fields
+        for name, spec in fields.items():
+            dtype, width = spec if isinstance(spec, tuple) else (spec, None)
+            setattr(self, name, np.zeros(1 if width is None else (1, width),
+                                         dtype))
+
+    def grow(self, rows: int) -> None:
+        for name in self._fields:
+            old = getattr(self, name)
+            new = np.zeros((rows, *old.shape[1:]), old.dtype)
+            new[:len(old)] = old
+            setattr(self, name, new)
+
+    def zero(self) -> None:
+        for name in self._fields:
+            getattr(self, name)[...] = 0
+
+
+# The column kernels below (``push_rows``/``step``) update many rows in
+# one vectorised call, with the float operations of the one-sample
+# recurrence in the same order, so a row's state is bit-identical to
+# feeding its samples one at a time.  Callers hold
+# ``np.errstate(all="ignore")``: hostile samples overflow by design and
+# are clamped, exactly as Python floats would.
+
+#: The row index of a standalone (one-row) detector.
+_ROW0 = np.zeros(1, np.intp)
+
+
+def _one(value) -> np.ndarray:
+    return np.array([float(value)])
+
+
+class _RingBank:
+    """Fixed-capacity ring buffers, one per row, with O(1) running
+    mean/variance: a push evicts the oldest sample once full and
+    maintains running sums, so mean/variance never rescan the buffer.
+    Sums are rebuilt from the buffer every ``capacity * 256`` pushes to
+    bound float cancellation drift on arbitrarily long series — still
+    amortised O(1) per push, and memory is exactly ``capacity`` floats
+    per row forever.  The push count alone gives the write slot
+    (``pushes % capacity``) and the fill (``min(pushes, capacity)``).
+    """
+
+    __slots__ = ("capacity", "cols")
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._buf: list[float] = [0.0] * self.capacity
-        self._next = 0
-        self._count = 0
-        self._sum = 0.0
-        self._sumsq = 0.0
-        self._pushes = 0
+        self.cols = _Columns({"buf": (np.float64, self.capacity),
+                              "sum": np.float64, "sumsq": np.float64,
+                              "pushes": np.int64})
+
+    def push_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Push ``values[i]`` onto row ``rows[i]`` (rows distinct)."""
+        c, cap = self.cols, self.capacity
+        pushes = c.pushes[rows]
+        at = rows * cap + pushes % cap
+        buf = c.buf.reshape(-1)                 # a view: C-contiguous
+        # Until a ring first fills, the slot it writes still holds its
+        # initial 0.0, and x - 0.0 == x exactly: evicting it anyway is
+        # bit-identical to evicting only once full.
+        old = buf[at]
+        c.sum[rows] = c.sum[rows] - old + values
+        c.sumsq[rows] = c.sumsq[rows] - old * old + values * values
+        buf[at] = values
+        pushes += 1
+        c.pushes[rows] = pushes
+        stale = pushes % (cap * 256) == 0
+        if stale.any():
+            for row in rows[stale].tolist():    # full: every slot is live
+                live = c.buf[row]
+                c.sum[row] = math.fsum(live.tolist())
+                c.sumsq[row] = math.fsum((live * live).tolist())
+
+    def counts(self, rows) -> np.ndarray:
+        return np.minimum(self.cols.pushes[rows], self.capacity)
+
+    def means(self, rows) -> np.ndarray:
+        """Window means; 0 for an empty window (its sum is 0)."""
+        return self.cols.sum[rows] / np.maximum(self.counts(rows), 1)
+
+    def variances(self, rows) -> np.ndarray:
+        """Population variances (clamped at 0 against float drift)."""
+        m = self.means(rows)
+        return np.fmax(0.0, self.cols.sumsq[rows]
+                       / np.maximum(self.counts(rows), 1) - m * m)
+
+
+class WindowStats(_RingBank):
+    """One ring buffer: the one-row view of the per-link ring columns."""
+
+    __slots__ = ()
 
     def push(self, value: float) -> None:
-        value = float(value)
-        if self._count == self.capacity:
-            old = self._buf[self._next]
-            self._sum -= old
-            self._sumsq -= old * old
-        else:
-            self._count += 1
-        self._buf[self._next] = value
-        self._next = (self._next + 1) % self.capacity
-        self._sum += value
-        self._sumsq += value * value
-        self._pushes += 1
-        if self._pushes % (self.capacity * 256) == 0:
-            self._rebuild()
-
-    def _rebuild(self) -> None:
-        live = self.values()
-        self._sum = math.fsum(live)
-        self._sumsq = math.fsum(v * v for v in live)
+        with np.errstate(all="ignore"):
+            self.push_rows(_ROW0, _one(value))
 
     def values(self) -> list[float]:
         """Live samples, oldest first (for tests and evidence)."""
-        if self._count < self.capacity:
-            return self._buf[:self._count]
-        return self._buf[self._next:] + self._buf[:self._next]
+        buf = self.cols.buf[0]
+        if not self.full:
+            return buf[:len(self)].tolist()
+        at = int(self.cols.pushes[0]) % self.capacity
+        return buf[at:].tolist() + buf[:at].tolist()
 
     def __len__(self) -> int:
-        return self._count
+        return int(self.counts(_ROW0)[0])
 
     @property
     def count(self) -> int:
-        return self._count
+        return len(self)
 
     @property
     def full(self) -> bool:
-        return self._count == self.capacity
+        return len(self) == self.capacity
 
     @property
     def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
+        return float(self.means(_ROW0)[0])
 
     @property
     def variance(self) -> float:
-        """Population variance (clamped at 0 against float drift)."""
-        if not self._count:
-            return 0.0
-        m = self.mean
-        return max(0.0, self._sumsq / self._count - m * m)
+        with np.errstate(all="ignore"):
+            return float(self.variances(_ROW0)[0])
 
     @property
     def std(self) -> float:
         return math.sqrt(self.variance)
 
 
-class EwmaDetector:
-    """Level-shift detector: adaptive EWMA baseline + hysteresis.
+class _EwmaBank:
+    """Level-shift detectors, one per row: adaptive EWMA baseline +
+    hysteresis.
 
     Tracks an EWMA mean and an EWMA absolute deviation of the series.
     A sample further than ``k_on`` deviations from the baseline (in the
@@ -207,14 +278,13 @@ class EwmaDetector:
     fired, ``hysteresis`` consecutive samples back within ``k_off``
     deviations recover it (the recovery path of transient faults).
 
-    State is a handful of floats: O(1) memory for any series length.
-    Non-finite samples are ignored (counted in ``ignored``), so the
-    confidence is finite and in [0, 1] by construction.
+    State is a handful of numbers per row: O(1) memory for any series
+    length.  Non-finite samples are ignored (counted in ``ignored``),
+    so the confidence is finite and in [0, 1] by construction.
     """
 
     __slots__ = ("alpha", "k_on", "k_off", "hysteresis", "min_samples",
-                 "sigma_floor", "direction", "n", "ignored", "mean", "dev",
-                 "fired", "_over", "_under", "_peak")
+                 "sigma_floor", "direction", "cols")
 
     def __init__(self, *, alpha: float = 0.2, k_on: float = 4.0,
                  k_off: float = 2.0, hysteresis: int = 3,
@@ -236,94 +306,116 @@ class EwmaDetector:
         self.min_samples = max(1, int(min_samples))
         self.sigma_floor = float(sigma_floor)
         self.direction = direction
-        self.n = 0
-        self.ignored = 0
-        self.mean = 0.0
-        self.dev = 0.0
-        self.fired = False
-        self._over = 0
-        self._under = 0
-        self._peak = 0.0
+        self.cols = _Columns({
+            "n": np.int64, "ignored": np.int64, "mean": np.float64,
+            "dev": np.float64, "fired": np.bool_, "over": np.int64,
+            "under": np.int64, "peak": np.float64})
 
-    def _excess(self, value: float) -> float:
-        """Signed deviation in sigma units, oriented by ``direction``."""
-        sigma = max(self.dev, self.sigma_floor)
-        z = _clamp_finite(_clamp_finite(value - self.mean) / sigma)
-        if self.direction == "down":
-            return -z
-        if self.direction == "up":
-            return z
-        return abs(z)
-
-    def _absorb(self, value: float) -> None:
+    def step(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Feed ``values[i]`` to row ``rows[i]`` (rows distinct)."""
+        c = self.cols
+        finite = np.isfinite(values)
+        if not finite.all():
+            c.ignored[rows[~finite]] += 1
+            rows, values = rows[finite], values[finite]
+        n = c.n[rows]
+        c.n[rows] = n + 1
+        live = n >= self.min_samples
+        mean, dev = c.mean[rows], c.dev[rows]
+        if not live.all():
+            first = n == 0                      # seeds the baseline
+            mean[first] = values[first]
+        # Signed deviation in sigma units, oriented by direction.
+        z = _clamp_finite(_clamp_finite(values - mean)
+                          / np.maximum(dev, self.sigma_floor))
+        excess = (-z if self.direction == "down"
+                  else z if self.direction == "up" else np.abs(z))
+        fired = c.fired[rows]
+        quiet = live & ~fired
+        counting = quiet & (excess >= self.k_on)
+        in_band = quiet & ~counting
+        over = c.over[rows] + counting
+        on = counting & (over >= self.hysteresis)
+        held = live & fired
+        # Warm-up and in-band samples move the baseline; outliers are
+        # gated out of it (and so, below, is a firing's recovery).
+        absorb = ~live | in_band
+        if held.any() or on.any():
+            calm = held & (excess <= self.k_off)
+            under = c.under[rows] + calm
+            off = calm & (under >= self.hysteresis)
+            peak = c.peak[rows]
+            peak = np.where(held, np.maximum(peak, excess), peak)
+            c.peak[rows] = np.where(on, excess, np.where(off, 0.0, peak))
+            c.under[rows] = under * ~(on | off | (held & ~calm))
+            c.fired[rows] = (fired | on) & ~off
+            over *= ~off
+            absorb |= off
+        c.over[rows] = over * ~in_band
         a = self.alpha
-        diff = _clamp_finite(abs(value - self.mean))
-        self.dev = _clamp_finite((1 - a) * self.dev + a * diff)
-        self.mean = _clamp_finite((1 - a) * self.mean + a * value)
+        diff = _clamp_finite(np.abs(values - mean))
+        c.dev[rows] = np.where(
+            absorb, _clamp_finite((1 - a) * dev + a * diff), dev)
+        c.mean[rows] = np.where(
+            absorb, _clamp_finite((1 - a) * mean + a * values), mean)
+
+    def shifts(self, rows) -> np.ndarray:
+        """Peak excess (in sigma units) of the current firing, else 0."""
+        return np.where(self.cols.fired[rows], self.cols.peak[rows], 0.0)
+
+    def confidences(self, rows) -> np.ndarray:
+        """Confidence in [0, 1]; 0 when quiet, >= 0.5 once fired."""
+        c = self.cols
+        return np.where(c.fired[rows], np.minimum(
+            1.0, 0.5 + (c.peak[rows] - self.k_on) / (6.0 * self.k_on)), 0.0)
+
+
+class EwmaDetector(_EwmaBank):
+    """One level-shift detector: the one-row view of the per-link EWMA
+    columns (the recurrence is :meth:`_EwmaBank.step`)."""
+
+    __slots__ = ()
 
     def update(self, value: float) -> bool:
         """Feed one sample; returns the (possibly new) fired state."""
-        value = float(value)
-        if not math.isfinite(value):
-            self.ignored += 1
-            return self.fired
-        if self.n == 0:
-            self.mean = value
-        if self.n < self.min_samples:
-            self._absorb(value)
-            self.n += 1
-            return self.fired
-        excess = self._excess(value)
-        if not self.fired:
-            if excess >= self.k_on:
-                self._over += 1
-                if self._over >= self.hysteresis:
-                    self.fired = True
-                    self._peak = excess
-                    self._under = 0
-            else:
-                self._over = 0
-                self._absorb(value)
-        else:
-            self._peak = max(self._peak, excess)
-            if excess <= self.k_off:
-                self._under += 1
-                if self._under >= self.hysteresis:
-                    self.fired = False
-                    self._over = 0
-                    self._under = 0
-                    self._peak = 0.0
-                    self._absorb(value)
-            else:
-                self._under = 0
-        self.n += 1
+        with np.errstate(all="ignore"):
+            self.step(_ROW0, _one(value))
         return self.fired
 
     @property
+    def n(self) -> int:
+        return int(self.cols.n[0])
+
+    @property
+    def ignored(self) -> int:
+        return int(self.cols.ignored[0])
+
+    @property
+    def mean(self) -> float:
+        return float(self.cols.mean[0])
+
+    @property
+    def dev(self) -> float:
+        return float(self.cols.dev[0])
+
+    @property
+    def fired(self) -> bool:
+        return bool(self.cols.fired[0])
+
+    @property
     def shift(self) -> float:
-        """Peak excess (in sigma units) of the current firing, else 0."""
-        return self._peak if self.fired else 0.0
+        return float(self.shifts(_ROW0)[0])
 
     @property
     def confidence(self) -> float:
-        """Confidence in [0, 1]; 0 when quiet, >= 0.5 once fired."""
-        if not self.fired:
-            return 0.0
-        return min(1.0, 0.5 + (self._peak - self.k_on) / (6.0 * self.k_on))
+        return float(self.confidences(_ROW0)[0])
 
     def reset(self) -> None:
-        self.n = 0
-        self.ignored = 0
-        self.mean = 0.0
-        self.dev = 0.0
-        self.fired = False
-        self._over = 0
-        self._under = 0
-        self._peak = 0.0
+        self.cols.zero()
 
 
-class CusumDetector:
-    """One-sided (upper) CUSUM changepoint detector.
+class _CusumBank:
+    """One-sided (upper) CUSUM changepoint detectors, one per row.
 
     Accumulates ``max(0, g + (x - target - slack))`` and fires while the
     statistic is at or above ``threshold``.  With the per-expected-beacon
@@ -335,11 +427,10 @@ class CusumDetector:
     ``cap`` (default ``2 * threshold``) so an arbitrarily long burst
     cannot push the de-assert arbitrarily far past the recovery.
 
-    O(1) memory; non-finite samples are ignored.
+    O(1) memory per row; non-finite samples are ignored.
     """
 
-    __slots__ = ("target", "slack", "threshold", "cap", "n", "ignored",
-                 "_stat")
+    __slots__ = ("target", "slack", "threshold", "cap", "cols")
 
     def __init__(self, *, target: float = 0.0, slack: float = 0.15,
                  threshold: float = 2.0, cap: float | None = None):
@@ -354,40 +445,64 @@ class CusumDetector:
         if self.cap < self.threshold:
             raise ValueError(f"cap ({self.cap}) must be >= threshold "
                              f"({self.threshold})")
-        self.n = 0
-        self.ignored = 0
-        self._stat = 0.0
+        self.cols = _Columns({"n": np.int64, "ignored": np.int64,
+                              "stat": np.float64})
+
+    def step(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Feed ``values[i]`` to row ``rows[i]`` (rows distinct)."""
+        c = self.cols
+        finite = np.isfinite(values)
+        if not finite.all():
+            c.ignored[rows[~finite]] += 1
+            rows, values = rows[finite], values[finite]
+        c.stat[rows] = np.minimum(self.cap, np.maximum(
+            0.0, c.stat[rows] + (values - self.target - self.slack)))
+        c.n[rows] += 1
+
+    def fired_rows(self, rows) -> np.ndarray:
+        return self.cols.stat[rows] >= self.threshold
+
+    def confidences(self, rows) -> np.ndarray:
+        """Confidence in [0, 1]; 0 when quiet, >= 0.5 once fired."""
+        stat = self.cols.stat[rows]
+        return np.where(stat >= self.threshold, np.minimum(
+            1.0, 0.5 + (stat - self.threshold) / (6.0 * self.threshold)),
+            0.0)
+
+
+class CusumDetector(_CusumBank):
+    """One CUSUM detector: the one-row view of the per-link CUSUM
+    columns (the recurrence is :meth:`_CusumBank.step`)."""
+
+    __slots__ = ()
 
     def update(self, value: float) -> bool:
-        value = float(value)
-        if not math.isfinite(value):
-            self.ignored += 1
-            return self.fired
-        self._stat = min(self.cap, max(
-            0.0, self._stat + (value - self.target - self.slack)))
-        self.n += 1
+        with np.errstate(all="ignore"):
+            self.step(_ROW0, _one(value))
         return self.fired
 
     @property
+    def n(self) -> int:
+        return int(self.cols.n[0])
+
+    @property
+    def ignored(self) -> int:
+        return int(self.cols.ignored[0])
+
+    @property
     def statistic(self) -> float:
-        return self._stat
+        return float(self.cols.stat[0])
 
     @property
     def fired(self) -> bool:
-        return self._stat >= self.threshold
+        return bool(self.fired_rows(_ROW0)[0])
 
     @property
     def confidence(self) -> float:
-        """Confidence in [0, 1]; 0 when quiet, >= 0.5 once fired."""
-        if not self.fired:
-            return 0.0
-        return min(1.0, 0.5 + (self._stat - self.threshold)
-                   / (6.0 * self.threshold))
+        return float(self.confidences(_ROW0)[0])
 
     def reset(self) -> None:
-        self.n = 0
-        self.ignored = 0
-        self._stat = 0.0
+        self.cols.zero()
 
 
 @dataclass(frozen=True)
@@ -451,113 +566,17 @@ class OnlineThresholds:
     drift_rel: float = 0.045
 
 
-class _LinkState:
-    """Per directed link (origin -> receiver): all detector state."""
+#: Pending beacons that force a drain inside :meth:`OnlineMonitor.
+#: observe_beacon`, so a monitor that is attached but never polled holds
+#: O(links) memory.  Polls drain long before this on every served and
+#: benchmarked cadence.
+PENDING_BOUND = 4096
 
-    __slots__ = ("lqi", "rssi", "loss", "loss_window", "intervals",
-                 "baseline_window", "baseline_interval", "last_seq",
-                 "last_heard", "beacons", "channel", "nominal")
+#: Fields per queued beacon: row, seq, lqi, rssi, channel, time.
+_WIDTH = 6
 
-    def __init__(self, t: OnlineThresholds, nominal_interval: float):
-        self.lqi = EwmaDetector(
-            alpha=t.quality_alpha, k_on=t.quality_k_on, k_off=t.quality_k_off,
-            hysteresis=t.quality_hysteresis, min_samples=t.min_samples,
-            sigma_floor=t.lqi_sigma_floor, direction="down")
-        self.rssi = EwmaDetector(
-            alpha=t.quality_alpha, k_on=t.quality_k_on, k_off=t.quality_k_off,
-            hysteresis=t.quality_hysteresis, min_samples=t.min_samples,
-            sigma_floor=t.rssi_sigma_floor, direction="down")
-        self.loss = CusumDetector(target=0.0, slack=t.loss_slack,
-                                  threshold=t.loss_threshold)
-        self.loss_window = WindowStats(t.window)
-        self.intervals = WindowStats(t.drift_window)
-        self.baseline_window = WindowStats(t.baseline_intervals)
-        self.baseline_interval: tuple[float, float] | None = None
-        self.last_seq: int | None = None
-        self.last_heard = 0.0
-        self.beacons = 0
-        self.channel: int | None = None
-        self.nominal = float(nominal_interval)
-
-    def observe(self, t: OnlineThresholds, *, seq: int, lqi: float,
-                rssi: float, channel: int | None, now: float) -> None:
-        if channel is not None:
-            self.channel = channel
-        self.beacons += 1
-        if self.last_seq is not None:
-            gap = (seq - self.last_seq) & 0xFFFF
-            if 0 < gap <= t.max_gap:
-                for _ in range(gap - 1):
-                    self.loss.update(1.0)
-                    self.loss_window.push(1.0)
-                self.loss.update(0.0)
-                self.loss_window.push(0.0)
-                interval = (now - self.last_heard) / gap
-                self.intervals.push(interval)
-                if self.baseline_interval is None:
-                    self.baseline_window.push(interval)
-                    if self.baseline_window.full:
-                        self.baseline_interval = (
-                            self.baseline_window.mean,
-                            self.baseline_window.std,
-                        )
-            # gap == 0 (duplicate) or a huge gap (sequence restart after
-            # a reboot): re-anchor without charging phantom losses.
-        self.last_seq = seq
-        self.last_heard = now
-        self.lqi.update(lqi)
-        self.rssi.update(rssi)
-
-    def anchor(self, *, seq: int, channel: int | None, now: float) -> None:
-        """Track sequence/time continuity without feeding detectors.
-
-        Used across masked windows (:meth:`OnlineMonitor.pause`): the
-        beacon is acknowledged — so the masked traffic never shows up
-        later as a phantom sequence gap or a silence — but no loss,
-        quality or interval sample is charged.
-        """
-        if channel is not None:
-            self.channel = channel
-        self.beacons += 1
-        self.last_seq = seq
-        self.last_heard = now
-
-    def expected_interval(self) -> float:
-        if self.baseline_interval is not None and self.baseline_interval[0] > 0:
-            return self.baseline_interval[0]
-        return self.nominal
-
-    def silent_for(self, now: float, floor: float = -math.inf) -> float:
-        """Seconds since last heard, not counting time before ``floor``
-        (the end of the last masked window — silence accrued while the
-        listener's own probes were jamming the channel proves nothing).
-        """
-        return now - max(self.last_heard, floor)
-
-    def is_silent(self, t: OnlineThresholds, now: float,
-                  floor: float = -math.inf) -> bool:
-        return (self.beacons >= t.min_samples
-                and self.silent_for(now, floor)
-                > t.silence_factor * self.expected_interval())
-
-    def drift_ratio(self, t: OnlineThresholds) -> float | None:
-        """Relative inter-arrival shift vs. the nominal period, or None.
-
-        The reference is the *configured* beacon period (a protocol
-        constant, immune to contamination by the fault being hunted),
-        and the shift must clear both a statistical gate (``drift_z``
-        standard errors of the recent-window mean) and an absolute one
-        (``drift_rel``), so ordinary beacon jitter never qualifies.
-        """
-        if self.nominal <= 0 or not self.intervals.full:
-            return None
-        se = max(math.sqrt(self.intervals.variance / self.intervals.count),
-                 1e-6 * self.nominal)
-        shift = self.intervals.mean - self.nominal
-        if (abs(shift) >= t.drift_z * se
-                and abs(shift) / self.nominal >= t.drift_rel):
-            return shift / self.nominal
-        return None
+#: ``channel`` column value for a link whose beacons carried none.
+_NO_CHANNEL = -1
 
 
 class OnlineMonitor:
@@ -573,6 +592,18 @@ class OnlineMonitor:
     tests: feed :meth:`observe_beacon` directly and :meth:`poll` with an
     explicit ``now``.
 
+    State is columnar: each directed link (origin -> receiver) is one
+    row of numpy columns — two EWMA detectors (LQI, RSSI), a CUSUM on
+    the loss indicator, three ring buffers (loss window, inter-arrival
+    window, learned-cadence window) and the link's sequence/time
+    anchors.  :meth:`observe_beacon` only queues the beacon; the queue
+    is drained before every read (:meth:`poll`, :meth:`report`,
+    :meth:`pause`, :meth:`resume`) and whenever it reaches
+    :data:`PENDING_BOUND`.  A drain replays the queue in rounds — round
+    k holds the k-th queued beacon of every link — each one vectorised
+    update with the scalar recurrence's float operation order, so the
+    state is bit-identical however the queue was cut.
+
     Memory is O(tracked links), each link O(1) (fixed ring buffers).
     """
 
@@ -581,11 +612,32 @@ class OnlineMonitor:
                  exclude: _t.Collection[int] = (),
                  nominal_interval: float = DEFAULT_BEACON_INTERVAL):
         self.testbed = testbed
-        self.thresholds = thresholds or OnlineThresholds()
+        self.thresholds = t = thresholds or OnlineThresholds()
         self.exclude = frozenset(int(n) for n in exclude)
         self.nominal_interval = float(nominal_interval)
         self._monitor = testbed.monitor if testbed is not None else None
-        self._links: dict[tuple[int, int], _LinkState] = {}
+        quality = dict(alpha=t.quality_alpha, k_on=t.quality_k_on,
+                       k_off=t.quality_k_off,
+                       hysteresis=t.quality_hysteresis,
+                       min_samples=t.min_samples, direction="down")
+        self._lqi = _EwmaBank(sigma_floor=t.lqi_sigma_floor, **quality)
+        self._rssi = _EwmaBank(sigma_floor=t.rssi_sigma_floor, **quality)
+        self._loss = _CusumBank(target=0.0, slack=t.loss_slack,
+                                threshold=t.loss_threshold)
+        self._loss_window = _RingBank(t.window)
+        self._intervals = _RingBank(t.drift_window)
+        self._baseline_window = _RingBank(t.baseline_intervals)
+        self._link = _Columns({
+            "origin": np.int64, "last_seq": np.int64,
+            "last_heard": np.float64, "beacons": np.int64,
+            "channel": np.int64, "baseline_set": np.bool_,
+            "baseline_interval": np.float64})
+        self._tables = (self._link, self._lqi.cols, self._rssi.cols,
+                        self._loss.cols, self._loss_window.cols,
+                        self._intervals.cols, self._baseline_window.cols)
+        self._rows: dict[tuple[int, int], int] = {}
+        self._keys: list[tuple[int, int]] = []
+        self._pending: list = []
         self._attached = False
         self._paused = False
         self._anchor_floor = -math.inf
@@ -626,15 +678,16 @@ class OnlineMonitor:
         bursts: a few hundred probe packets congest the channel, and
         the delayed and collided beacons would otherwise read as loss
         or interference the network did not actually have.  While
-        paused, received beacons only :meth:`~_LinkState.anchor` — and
-        so does the *first* beacon per link after :meth:`resume`, whose
-        gap spans the masked window.  Silence likewise restarts from the
-        mask's end: a link quiet through the mask may simply have lost
-        its beacons to the probe congestion, so it must re-earn its
-        silence verdict afterwards (a genuinely dead node does, a few
-        beacon intervals later).
+        paused, received beacons only re-anchor their link's sequence
+        number and last-heard time — and so does the *first* beacon per
+        link after :meth:`resume`, whose gap spans the masked window.
+        Silence likewise restarts from the mask's end: a link quiet
+        through the mask may simply have lost its beacons to the probe
+        congestion, so it must re-earn its silence verdict afterwards (a
+        genuinely dead node does, a few beacon intervals later).
         """
         if not self._paused:
+            self._drain()
             self._paused = True
             self._pause_idx = (len(self._monitor.packets)
                                if self._monitor is not None else 0)
@@ -650,6 +703,7 @@ class OnlineMonitor:
         """
         if not self._paused:
             return
+        self._drain()
         self._paused = False
         if self._monitor is not None and not any(
                 r.kind in PROBE_PACKET_KINDS
@@ -670,9 +724,9 @@ class OnlineMonitor:
              arrival: "FrameArrival") -> None:
         if receiver in self.exclude or origin in self.exclude:
             return
-        self.observe_beacon(receiver, origin, seq=seq,
-                            lqi=float(arrival.lqi), rssi=float(arrival.rssi),
-                            channel=arrival.channel, now=arrival.time)
+        self.observe_beacon(receiver, origin, seq=seq, lqi=arrival.lqi,
+                            rssi=arrival.rssi, channel=arrival.channel,
+                            now=arrival.time)
 
     # -- ingestion -------------------------------------------------------
 
@@ -680,17 +734,13 @@ class OnlineMonitor:
                        lqi: float, rssi: float, channel: int | None = None,
                        now: float) -> None:
         """Feed one received beacon (the tap's entry point; synthetic
-        tests call it directly)."""
-        key = (int(origin), int(receiver))
-        state = self._links.get(key)
-        if state is None:
-            state = self._links[key] = _LinkState(self.thresholds,
-                                                  self.nominal_interval)
-        if self._paused or state.last_heard < self._anchor_floor:
-            state.anchor(seq=int(seq), channel=channel, now=float(now))
-        else:
-            state.observe(self.thresholds, seq=int(seq), lqi=float(lqi),
-                          rssi=float(rssi), channel=channel, now=float(now))
+        tests call it directly).  Queues it for the next drain."""
+        row = self._rows.get((origin, receiver))
+        if row is None:
+            row = self._new_row(origin, receiver)
+        pending = self._pending
+        pending += (row, seq & 0xFFFF, lqi, rssi,
+                    _NO_CHANNEL if channel is None else channel, now)
         self.beacons_seen += 1
         if self._monitor is not None:
             c = self._c_beacons
@@ -698,17 +748,116 @@ class OnlineMonitor:
                 c = self._c_beacons = self._monitor.counter_obj(
                     "diag.online.beacons")
             c.value += 1
+        if len(pending) >= _WIDTH * PENDING_BOUND:
+            self._drain()
+
+    def _new_row(self, origin: int, receiver: int) -> int:
+        key = (int(origin), int(receiver))
+        row = len(self._keys)
+        if row == len(self._link.origin):       # every table is full
+            size = max(64, 2 * row)
+            for table in self._tables:
+                table.grow(size)
+        self._rows[key] = row
+        self._keys.append(key)
+        link = self._link
+        link.origin[row] = key[0]
+        link.last_seq[row] = -1                 # nothing heard yet
+        link.channel[row] = _NO_CHANNEL
+        return row
+
+    def _drain(self) -> None:
+        """Apply every queued beacon, in rounds of one beacon per link."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        block = np.array(pending, np.float64).reshape(-1, _WIDTH)
+        rows = block[:, 0].astype(np.intp)
+        columns = (block[:, 1].astype(np.int64), block[:, 2], block[:, 3],
+                   block[:, 4].astype(np.int64), block[:, 5])
+        # Stable sort by row keeps each link's beacons in arrival order;
+        # a beacon's rank within its link is its round.
+        order = np.argsort(rows, kind="stable")
+        by_row = rows[order]
+        first = np.empty(len(rows), np.bool_)
+        first[0] = True
+        np.not_equal(by_row[1:], by_row[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        rank = np.arange(len(rows)) - starts[np.cumsum(first) - 1]
+        order = order[np.argsort(rank, kind="stable")]
+        begin = 0
+        with np.errstate(all="ignore"):
+            for end in np.cumsum(np.bincount(rank)).tolist():
+                take = order[begin:end]
+                self._apply(rows[take], *(col[take] for col in columns))
+                begin = end
+
+    def _apply(self, rows: np.ndarray, seq: np.ndarray, lqi: np.ndarray,
+               rssi: np.ndarray, channel: np.ndarray,
+               now: np.ndarray) -> None:
+        """One drain round: at most one beacon per link.
+
+        Beacons heard while paused, or on a link last heard before the
+        anchor floor (the first beacon after a probe-masked window),
+        only re-anchor sequence and time: the masked traffic never shows
+        up later as a phantom gap or a silence, but no loss, quality or
+        interval sample is charged.  Every other beacon feeds the
+        detectors.  A gap of 0 (duplicate) or beyond ``max_gap``
+        (sequence restart after a reboot) re-anchors without charging
+        phantom losses.
+        """
+        t, link = self.thresholds, self._link
+        known = channel != _NO_CHANNEL
+        link.channel[rows[known]] = channel[known]
+        link.beacons[rows] += 1
+        last_heard = link.last_heard[rows]
+        if self._paused:
+            fed = np.zeros(len(rows), np.bool_)
+        else:
+            fed = ~(last_heard < self._anchor_floor)
+        last_seq = link.last_seq[rows]
+        gap = (seq - last_seq) & 0xFFFF
+        counted = fed & (last_seq >= 0) & (gap > 0) & (gap <= t.max_gap)
+        if counted.any():
+            r, g = rows[counted], gap[counted]
+            lost = g - 1
+            for k in range(int(lost.max())):    # one lost beacon per pass
+                missed = r[lost > k]
+                ones = np.ones(len(missed))
+                self._loss.step(missed, ones)
+                self._loss_window.push_rows(missed, ones)
+            zeros = np.zeros(len(r))
+            self._loss.step(r, zeros)
+            self._loss_window.push_rows(r, zeros)
+            interval = (now[counted] - last_heard[counted]) / g
+            self._intervals.push_rows(r, interval)
+            learning = ~link.baseline_set[r]
+            if learning.any():
+                r, interval = r[learning], interval[learning]
+                window = self._baseline_window
+                window.push_rows(r, interval)
+                r = r[window.counts(r) == window.capacity]
+                link.baseline_set[r] = True
+                link.baseline_interval[r] = window.means(r)
+        link.last_seq[rows] = seq
+        link.last_heard[rows] = now
+        if fed.any():
+            rows = rows[fed]
+            self._lqi.step(rows, lqi[fed])
+            self._rssi.step(rows, rssi[fed])
 
     # -- reduction -------------------------------------------------------
 
     @property
     def links_tracked(self) -> int:
-        return len(self._links)
+        return len(self._keys)
 
     def poll(self, now: float | None = None) -> list[Finding]:
         """Reduce accumulated link state to findings, as of ``now``.
 
-        Pure read: never advances the sim or consumes RNG.  Counter
+        Drains queued beacons first.  Pure read otherwise: never
+        advances the sim or consumes RNG.  Counter
         ``diag.online.finding.<kind>`` increments only for subjects not
         already named at the previous poll, so long-lived faults count
         once, not once per poll.
@@ -718,73 +867,87 @@ class OnlineMonitor:
                 raise ValueError("detached OnlineMonitor needs an "
                                  "explicit now=")
             now = self.testbed.env.now
-        t = self.thresholds
-        ordered = sorted(self._links)
-        silent: set[tuple[int, int]] = set()
-        lossy: set[tuple[int, int]] = set()
+        self._drain()
+        t, link, keys = self.thresholds, self._link, self._keys
+        n = len(keys)
+        # Per-link verdict masks, vectorised; Python only visits the
+        # flagged links.
+        eligible = link.beacons[:n] >= t.min_samples
+        base = link.baseline_interval[:n]
+        expected = np.where(link.baseline_set[:n] & (base > 0), base,
+                            self.nominal_interval)
+        with np.errstate(all="ignore"):
+            silent_for = now - np.maximum(link.last_heard[:n],
+                                          self._anchor_floor)
+        silent = eligible & (silent_for > t.silence_factor * expected)
+        rows = np.arange(n)
+        lossy = eligible & ~silent & self._loss.fired_rows(rows)
+        lqi_fired = self._lqi.cols.fired[:n]
+        rssi_fired = self._rssi.cols.fired[:n]
+        degraded = eligible & ~silent & ~lossy & (lqi_fired | rssi_fired)
+
         link_findings: dict[tuple[int, int], Finding] = {}
-        for key in ordered:
-            st = self._links[key]
-            if st.beacons < t.min_samples:
-                continue
-            if st.is_silent(t, now, self._anchor_floor):
-                silent.add(key)
-                gone = st.silent_for(now, self._anchor_floor)
-                missed = gone / st.expected_interval()
-                link_findings[key] = Finding(
-                    kind="broken_link", link=key,
-                    confidence=min(0.95, 0.5 + 0.05
-                                   * (missed - t.silence_factor)),
-                    summary=(f"no beacons for {gone:.1f} s "
-                             f"(~{missed:.0f} expected)"),
-                    evidence={"silent_s": gone,
-                              "expected_interval_s": st.expected_interval(),
-                              "beacons_seen": st.beacons},
-                )
-            elif st.loss.fired:
-                lossy.add(key)
-                level = st.loss_window.mean
-                kind = ("broken_link" if level >= t.broken_loss
-                        else "lossy_link")
-                link_findings[key] = Finding(
-                    kind=kind, link=key,
-                    confidence=max(st.loss.confidence,
-                                   min(1.0, level / t.broken_loss)),
-                    summary=(f"{level:.0%} of expected beacons missing "
-                             f"(seq gaps)"),
-                    evidence={"recent_loss": level,
-                              "cusum": st.loss.statistic,
-                              "beacons_seen": st.beacons},
-                )
-            elif st.lqi.fired or st.rssi.fired:
-                if st.lqi.fired and (not st.rssi.fired
-                                     or st.lqi.shift >= st.rssi.shift):
-                    det, metric = st.lqi, "lqi"
-                else:
-                    det, metric = st.rssi, "rssi"
-                link_findings[key] = Finding(
-                    kind="lossy_link", link=key, confidence=det.confidence,
-                    summary=(f"beacon {metric} fell {det.shift:.1f} sigma "
-                             f"below its baseline"),
-                    evidence={"metric": metric, "baseline": det.mean,
-                              "shift_sigma": det.shift,
-                              "beacons_seen": st.beacons},
-                )
+        for row in np.flatnonzero(silent).tolist():
+            gone, every = float(silent_for[row]), float(expected[row])
+            missed = gone / every
+            link_findings[keys[row]] = Finding(
+                kind="broken_link", link=keys[row],
+                confidence=min(0.95, 0.5 + 0.05
+                               * (missed - t.silence_factor)),
+                summary=(f"no beacons for {gone:.1f} s "
+                         f"(~{missed:.0f} expected)"),
+                evidence={"silent_s": gone, "expected_interval_s": every,
+                          "beacons_seen": int(link.beacons[row])},
+            )
+        lossy_rows = np.flatnonzero(lossy)
+        levels = self._loss_window.means(lossy_rows).tolist()
+        cusum = self._loss.cols.stat[lossy_rows].tolist()
+        cusum_conf = self._loss.confidences(lossy_rows).tolist()
+        for i, row in enumerate(lossy_rows.tolist()):
+            level = levels[i]
+            kind = "broken_link" if level >= t.broken_loss else "lossy_link"
+            link_findings[keys[row]] = Finding(
+                kind=kind, link=keys[row],
+                confidence=max(cusum_conf[i],
+                               min(1.0, level / t.broken_loss)),
+                summary=f"{level:.0%} of expected beacons missing (seq gaps)",
+                evidence={"recent_loss": level, "cusum": cusum[i],
+                          "beacons_seen": int(link.beacons[row])},
+            )
+        for row in np.flatnonzero(degraded).tolist():
+            at = np.array([row])
+            lqi_shift = float(self._lqi.shifts(at)[0])
+            rssi_shift = float(self._rssi.shifts(at)[0])
+            if lqi_fired[row] and (not rssi_fired[row]
+                                   or lqi_shift >= rssi_shift):
+                det, metric, shift = self._lqi, "lqi", lqi_shift
+            else:
+                det, metric, shift = self._rssi, "rssi", rssi_shift
+            link_findings[keys[row]] = Finding(
+                kind="lossy_link", link=keys[row],
+                confidence=float(det.confidences(at)[0]),
+                summary=(f"beacon {metric} fell {shift:.1f} sigma "
+                         f"below its baseline"),
+                evidence={"metric": metric,
+                          "baseline": float(det.cols.mean[row]),
+                          "shift_sigma": shift,
+                          "beacons_seen": int(link.beacons[row])},
+            )
+
         findings: list[Finding] = []
         explained: set[tuple[int, int]] = set()
-        affected = silent | lossy
+        channel = link.channel[:n]
         by_channel: dict[int, list[tuple[int, int]]] = {}
-        for key in sorted(affected):
-            ch = self._links[key].channel
-            if ch is not None:
-                by_channel.setdefault(ch, []).append(key)
+        for row in sorted(np.flatnonzero(silent | lossy).tolist(),
+                          key=keys.__getitem__):
+            ch = int(channel[row])
+            if ch != _NO_CHANNEL:
+                by_channel.setdefault(ch, []).append(keys[row])
         for ch in sorted(by_channel):
             group = by_channel[ch]
             origins = {a for a, _ in group}
             receivers = {b for _, b in group}
-            on_channel = sum(
-                1 for st in self._links.values()
-                if st.channel == ch and st.beacons >= t.min_samples)
+            on_channel = int(np.count_nonzero(eligible & (channel == ch)))
             if (len(group) < t.interference_min_links
                     or len(origins) < 2 or len(receivers) < 2
                     or len(group) < t.interference_min_fraction
@@ -804,37 +967,38 @@ class OnlineMonitor:
                           "origins": sorted(origins)},
             ))
             explained.update(group)
+
+        # A node is dead when every link it was heard on went silent.
+        origin = link.origin[:n]
+        heard_alive = set(origin[eligible & ~silent].tolist())
+        silent_links: dict[int, list[int]] = {}
+        for row in sorted(np.flatnonzero(silent).tolist(),
+                          key=keys.__getitem__):
+            silent_links.setdefault(keys[row][0], []).append(row)
         dead: set[int] = set()
-        out_links: dict[int, list[tuple[int, int]]] = {}
-        for key in ordered:
-            if self._links[key].beacons >= t.min_samples:
-                out_links.setdefault(key[0], []).append(key)
-        for origin in sorted(out_links):
-            links = out_links[origin]
-            if (all(key in silent for key in links)
-                    and not any(key in explained for key in links)):
-                dead.add(origin)
-                worst = max(
-                    self._links[key].silent_for(now, self._anchor_floor)
-                    / self._links[key].expected_interval()
-                    for key in links)
-                findings.append(Finding(
-                    kind="dead_node", node=origin,
-                    confidence=min(0.95, 0.5 + 0.05
-                                   * (worst - t.silence_factor)),
-                    summary=(f"beacons stopped at all {len(links)} "
-                             f"receiver(s) that were hearing it"),
-                    evidence={"receivers": sorted(b for _, b in links),
-                              "missed_intervals": worst},
-                ))
-        surviving: dict[tuple[int, int], Finding] = {}
-        for key in ordered:
-            finding = link_findings.get(key)
-            if finding is None or key in explained:
+        for node in sorted(silent_links):
+            links = silent_links[node]
+            if node in heard_alive or any(keys[r] in explained
+                                          for r in links):
                 continue
-            if key[0] in dead or key[1] in dead:
-                continue  # symptom of the dead node, already named
-            surviving[key] = finding
+            dead.add(node)
+            worst = max(float(silent_for[r]) / float(expected[r])
+                        for r in links)
+            findings.append(Finding(
+                kind="dead_node", node=node,
+                confidence=min(0.95, 0.5 + 0.05
+                               * (worst - t.silence_factor)),
+                summary=(f"beacons stopped at all {len(links)} "
+                         f"receiver(s) that were hearing it"),
+                evidence={"receivers": sorted(keys[r][1] for r in links),
+                          "missed_intervals": worst},
+            ))
+
+        surviving: dict[tuple[int, int], Finding] = {}
+        for key in sorted(link_findings):
+            if key in explained or key[0] in dead or key[1] in dead:
+                continue  # symptom of interference or a dead node
+            surviving[key] = link_findings[key]
         for key in sorted(surviving):
             finding = surviving[key]
             mirror = surviving.get((key[1], key[0]))
@@ -852,27 +1016,55 @@ class OnlineMonitor:
                         confidence=mirror.confidence,
                         summary=mirror.summary, evidence=mirror.evidence)
             findings.append(finding)
-        drift_by_origin: dict[int, list[float]] = {}
-        for key in ordered:
-            if key[0] in dead or key in explained:
-                continue
-            ratio = self._links[key].drift_ratio(t)
-            if ratio is not None:
-                drift_by_origin.setdefault(key[0], []).append(ratio)
-        for origin in sorted(drift_by_origin):
-            ratios = drift_by_origin[origin]
-            mean_ratio = sum(ratios) / len(ratios)
+
+        for node, mean_ratio, agreeing in self._drift(dead, explained):
             findings.append(Finding(
-                kind="hotspot", node=origin,
+                kind="hotspot", node=node,
                 confidence=min(0.95, 0.5 + 5.0 * abs(mean_ratio)),
                 summary=(f"beacon interval shifted {mean_ratio:+.1%} vs "
                          f"baseline - local clock drifting"),
                 evidence={"interval_shift": mean_ratio,
-                          "links_agreeing": len(ratios)},
+                          "links_agreeing": agreeing},
             ))
         findings.sort(key=Finding.sort_key)
         self._account(findings, now)
         return findings
+
+    def _drift(self, dead: set[int], explained: set[tuple[int, int]]):
+        """``(origin, mean relative shift, links agreeing)`` per origin
+        whose beacon inter-arrivals drifted, in origin order.
+
+        The reference is the *configured* beacon period (a protocol
+        constant, immune to contamination by the fault being hunted),
+        and a link's shift must clear both a statistical gate
+        (``drift_z`` standard errors of its recent-window mean) and an
+        absolute one (``drift_rel``), so ordinary beacon jitter never
+        qualifies.
+        """
+        t, window = self.thresholds, self._intervals
+        nominal = self.nominal_interval
+        if nominal <= 0:
+            return []
+        rows = np.flatnonzero(
+            window.counts(slice(len(self._keys))) == window.capacity)
+        count = window.counts(rows)
+        with np.errstate(all="ignore"):
+            se = np.maximum(np.sqrt(window.variances(rows) / count),
+                            1e-6 * nominal)
+            shift = window.means(rows) - nominal
+            drifting = ((np.abs(shift) >= t.drift_z * se)
+                        & (np.abs(shift) / nominal >= t.drift_rel))
+        ratios: dict[int, list[tuple[tuple[int, int], float]]] = {}
+        for row, s in zip(rows[drifting].tolist(),
+                          shift[drifting].tolist()):
+            key = self._keys[row]
+            if key[0] not in dead and key not in explained:
+                ratios.setdefault(key[0], []).append((key, s / nominal))
+        out = []
+        for node in sorted(ratios):
+            agreeing = [r for _, r in sorted(ratios[node])]
+            out.append((node, sum(agreeing) / len(agreeing), len(agreeing)))
+        return out
 
     def _account(self, findings: list[Finding], now: float) -> None:
         self.polls += 1

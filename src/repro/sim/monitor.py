@@ -97,8 +97,14 @@ class Monitor:
             self.beacon_taps = (*self.beacon_taps, tap)
 
     def remove_beacon_tap(self, tap: _t.Callable) -> None:
-        """Unregister a per-beacon listener (no-op if absent)."""
-        self.beacon_taps = tuple(t for t in self.beacon_taps if t is not tap)
+        """Unregister a per-beacon listener (no-op if absent).
+
+        Compares by equality, as :meth:`add_beacon_tap` does: a bound
+        method is a new object on every attribute access, so
+        ``monitor.remove_beacon_tap(obj.method)`` must match the
+        ``obj.method`` registered earlier.
+        """
+        self.beacon_taps = tuple(t for t in self.beacon_taps if t != tap)
 
     # -- counters ------------------------------------------------------------
 

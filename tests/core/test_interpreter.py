@@ -176,3 +176,19 @@ def test_watch_off_keeps_the_report_and_help_mentions_watch(
     assert "watch on|off|report" in dep.run("help")
     with pytest.raises(ParameterError):
         dep.run("watch sideways")
+
+
+def test_watch_off_stops_listening_and_on_resumes(chain_deployment):
+    dep = logged_in(chain_deployment)
+    dep.run("watch on")
+    dep.testbed.run(until=30.0)
+    dep.run("watch off")
+    online = dep.interpreter.online
+    heard = online.beacons_seen
+    assert heard > 0
+    dep.testbed.run(until=50.0)
+    assert online.beacons_seen == heard       # off really stops the tap
+    dep.run("watch on")
+    dep.testbed.run(until=70.0)
+    assert online.beacons_seen > heard
+    assert len(dep.testbed.monitor.beacon_taps) == 1

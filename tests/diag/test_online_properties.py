@@ -74,7 +74,7 @@ def test_windowstats_memory_bounded_and_consistent(capacity, values):
     for v in values:
         ws.push(v)
         assert len(ws) <= capacity
-        assert len(ws._buf) == capacity            # ring never grows
+        assert ws.cols.buf.shape == (1, capacity)  # ring never grows
         assert math.isfinite(ws.mean)
         assert math.isfinite(ws.variance) and ws.variance >= 0.0
     tail = [float(v) for v in values[-capacity:]]

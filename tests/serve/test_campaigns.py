@@ -7,7 +7,9 @@ plumbing, never a second execution semantics.
 """
 
 import asyncio
+import threading
 
+import repro.campaign
 from repro.campaign import Campaign, run_campaign
 from repro.serve import ServeApp, build_fleet
 
@@ -132,7 +134,19 @@ def test_negative_workers_normalized_to_serial():
     asyncio.run(main())
 
 
-def test_duplicate_running_campaign_is_conflict():
+def test_duplicate_running_campaign_is_conflict(monkeypatch):
+    # The coordinator waits for the test's go-ahead before running any
+    # cell, so the campaign is still running at the second POST by
+    # construction (a short campaign could otherwise settle first).
+    release = threading.Event()
+    real_run_campaign = repro.campaign.run_campaign
+
+    def gated_run_campaign(*args, **kwargs):
+        release.wait(timeout=60.0)
+        return real_run_campaign(*args, **kwargs)
+
+    monkeypatch.setattr(repro.campaign, "run_campaign", gated_run_campaign)
+
     async def main():
         app = make_app()
         await app.start(auto_tick=False)
@@ -146,6 +160,7 @@ def test_duplicate_running_campaign_is_conflict():
             status, _ = await fetch_json(app.port, "/campaigns", "POST",
                                          slow)
             assert status == 409
+            release.set()
             record = await poll_until_settled(app.port, "dup")
             assert record["status"] == "done"
             # Settled campaigns may be re-posted (a re-run).
@@ -154,6 +169,7 @@ def test_duplicate_running_campaign_is_conflict():
             assert status == 202
             await poll_until_settled(app.port, "dup")
         finally:
+            release.set()
             await app.stop()
 
     asyncio.run(main())
