@@ -641,6 +641,7 @@ class OnlineMonitor:
         self._attached = False
         self._paused = False
         self._anchor_floor = -math.inf
+        self._detached_at: float | None = None
         self._pause_idx = 0
         self._c_beacons = None
         self._last_subjects: set[tuple] = set()
@@ -652,19 +653,36 @@ class OnlineMonitor:
     # -- the tap ---------------------------------------------------------
 
     def attach(self) -> "OnlineMonitor":
-        """Start listening (idempotent).  Requires a testbed."""
+        """Start listening (idempotent).  Requires a testbed.
+
+        Re-attaching after :meth:`detach` masks the time spent detached,
+        as :meth:`resume` masks a probe burst: each link's first beacon
+        only re-anchors its sequence number (the beacons nobody listened
+        to are not losses), and silence restarts from now.
+        """
         if self._monitor is None:
             raise ValueError("cannot attach a detached OnlineMonitor "
                              "(constructed without a testbed)")
         if not self._attached:
+            if self._detached_at is not None:
+                self._drain()
+                self._anchor_floor = max(self._anchor_floor,
+                                         float(self.testbed.env.now))
+                self._detached_at = None
             self._monitor.add_beacon_tap(self._tap)
             self._attached = True
         return self
 
     def detach(self) -> None:
-        """Stop listening (accumulated state is kept)."""
+        """Stop listening (accumulated state is kept).
+
+        Until the next :meth:`attach`, :meth:`poll` and :meth:`report`
+        without an explicit ``now`` evaluate as of the detach time: the
+        listener heard nothing since, so later time is no evidence.
+        """
         if self._attached and self._monitor is not None:
             self._monitor.remove_beacon_tap(self._tap)
+            self._detached_at = float(self.testbed.env.now)
         self._attached = False
 
     @property
@@ -710,15 +728,22 @@ class OnlineMonitor:
                 for r in self._monitor.packets[self._pause_idx:]):
             return
         if now is None:
-            if self.testbed is None:
-                raise ValueError("detached OnlineMonitor needs an "
-                                 "explicit now=")
-            now = self.testbed.env.now
+            now = self._now()
         self._anchor_floor = float(now)
 
     @property
     def paused(self) -> bool:
         return self._paused
+
+    def _now(self) -> float:
+        """The default evaluation time: the sim clock, stopped at the
+        detach time while detached (see :meth:`detach`)."""
+        if self.testbed is None:
+            raise ValueError("detached OnlineMonitor needs an "
+                             "explicit now=")
+        if self._detached_at is not None:
+            return self._detached_at
+        return self.testbed.env.now
 
     def _tap(self, receiver: int, origin: int, seq: int,
              arrival: "FrameArrival") -> None:
@@ -863,10 +888,7 @@ class OnlineMonitor:
         once, not once per poll.
         """
         if now is None:
-            if self.testbed is None:
-                raise ValueError("detached OnlineMonitor needs an "
-                                 "explicit now=")
-            now = self.testbed.env.now
+            now = self._now()
         self._drain()
         t, link, keys = self.thresholds, self._link, self._keys
         n = len(keys)

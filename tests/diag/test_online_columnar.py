@@ -326,3 +326,33 @@ def test_detach_removes_the_tap():
     mon.detach()
     mon.attach()
     assert len(testbed.monitor.beacon_taps) == 1
+
+
+def test_time_spent_detached_is_masked_not_read_as_faults():
+    """Beacons nobody listened to are not losses and time spent detached
+    is not silence; a node that died while detached is still found once
+    it has missed enough beacons after the re-attach.  A twin monitor
+    attached throughout is the control."""
+    from repro.faults import FaultPlan, FaultSpec, install_faults
+    from repro.workloads.scenarios import QUIET_PROPAGATION
+
+    testbed = build_chain(4, spacing=60.0, seed=4,
+                          propagation_kwargs=QUIET_PROPAGATION)
+    mon = OnlineMonitor(testbed).attach()
+    control = OnlineMonitor(testbed).attach()
+    deploy_liteview(testbed, warm_up=0.0)
+    install_faults(testbed, FaultPlan(name="t", specs=(
+        FaultSpec(kind="node_crash", at=60.0, nodes=(4,)),)))
+    testbed.run(until=30.0)
+    assert mon.poll() == [] == control.poll()
+    mon.detach()
+    testbed.run(until=90.0)
+    assert mon.poll() == []                   # evaluated as of t=30
+    assert mon.last_polled_at == 30.0
+    mon.attach()
+    testbed.run(until=92.0)
+    assert mon.poll() == []                   # gap and silence masked
+    testbed.run(until=120.0)
+    dead = [("dead_node", 4)]
+    assert [(f.kind, f.node) for f in control.poll()] == dead
+    assert [(f.kind, f.node) for f in mon.poll()] == dead
