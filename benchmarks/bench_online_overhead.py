@@ -19,12 +19,15 @@ in ``BENCH_simulator.json``:
     way: the per-beacon ingest cost (timeit over a slice of the
     minute's own tap calls) times the beacon receptions, plus the
     measured drain and poll time of an attached minute, over the
-    detached runtime (both sides best of three runs).  Ingest only queues the beacon; the columnar
-    detectors drain the queue in vectorised rounds at each poll (and at
-    the pending bound), so the whole listener costs a few µs per beacon
-    — a few percent of the minute.  The budget passive mode actually
-    buys is *network* overhead — zero probe packets — which the
-    determinism suite asserts byte-exactly.
+    detached runtime (both sides best of three runs).  Ingest only
+    queues the beacon; the columnar detectors drain the queue in
+    vectorised rounds at each poll (and at the pending bound), so the
+    whole listener costs a few µs per beacon — a few percent of the
+    minute.  The budget passive mode actually buys is *network*
+    overhead — zero probe packets — which the determinism suite
+    asserts byte-exactly.  Until the columnar detectors this key held
+    the interleaved-pairs median below; older ``bench_history.jsonl``
+    lines under this key are that other quantity.
 
 ``online_listener_attached_pairs`` (recorded, report-only)
     CPU-time median of interleaved attached-vs-detached pairs of the

@@ -451,6 +451,8 @@ class CommandInterpreter:
         :class:`~repro.diag.online.OnlineMonitor`; ``watch report``
         (or bare ``watch``) renders the current passive verdict —
         zero packets sent, so watching costs the network nothing.
+        ``watch off`` removes the tap; the report then stands as of
+        that moment, and a later ``watch on`` masks the time spent off.
         """
         if len(args) > 1 or (args and args[0] not in
                              ("on", "off", "report")):
