@@ -30,6 +30,11 @@ HISTORY_JSONL = RESULTS_DIR / "bench_history.jsonl"
 #: runs never clobber real numbers.
 EXTRA_METRICS: dict = {}
 
+#: Result tables rendered from recorded metrics, written to
+#: ``results/`` by the same session finish that merges ``EXTRA_METRICS``
+#: — so a table and its JSON entry always come from one measurement.
+MEASURED_REPORTS: dict = {}
+
 
 def _git_commit() -> str:
     try:
@@ -51,6 +56,18 @@ def report():
         path = RESULTS_DIR / f"{name}.txt"
         path.write_text(text + "\n")
         print(f"\n{text}\n[written to {path}]")
+
+    return write
+
+
+@pytest.fixture(scope="session")
+def report_measured():
+    """Like ``report``, but for a table of ``record_metric`` values: it
+    is written only by a measuring session, together with the metrics,
+    so a smoke run never leaves a table the JSON does not back."""
+
+    def write(name: str, text: str) -> None:
+        MEASURED_REPORTS[name] = text
 
     return write
 
@@ -105,6 +122,8 @@ def pytest_sessionfinish(session, exitstatus):
     merged.update(results)
     BENCH_JSON.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
     RESULTS_DIR.mkdir(exist_ok=True)
+    for name, text in MEASURED_REPORTS.items():
+        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     entry = {
         "commit": _git_commit(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc)

@@ -119,6 +119,10 @@ def run_campaign_cli(args: argparse.Namespace) -> int:
         base_params=dict(args.param or ()), grid=dict(args.grid or ()),
         repeats=args.repeats,
     )
+    try:
+        campaign.check_params()
+    except (KeyError, TypeError, ImportError, AttributeError) as exc:
+        raise SystemExit(f"invalid campaign: {exc}") from None
     target = campaign
     if args.shard is not None:
         index, of = args.shard

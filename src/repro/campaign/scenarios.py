@@ -329,7 +329,7 @@ def mobile_city_survey(seed: int, *, districts_x: int = 4,
                        patrols: int = 2, speed_mps: float = 12.0,
                        seconds: float = 60.0, mobility_plan: object = None,
                        rounds: int = 6, length: int = 16,
-                       pitch: float = 1500.0, partitioned: bool = False):
+                       pitch: float = 1500.0):
     """Patrol nodes traversing a city while diagnosis runs: the
     churn-vs-fault discrimination cell.
 
@@ -357,8 +357,7 @@ def mobile_city_survey(seed: int, *, districts_x: int = 4,
 
     testbed = build_city(int(districts_x), int(districts_y),
                          int(per_district), pitch=pitch, seed=seed,
-                         propagation_kwargs=QUIET_PROPAGATION,
-                         partitioned=bool(partitioned))
+                         propagation_kwargs=QUIET_PROPAGATION)
     width = (int(districts_x) - 1) * pitch + 240.0
     patrol_ids = []
     for k in range(int(patrols)):

@@ -18,6 +18,7 @@ determinism suite asserts.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import itertools
 import json
 import typing as _t
@@ -146,6 +147,28 @@ class Campaign:
                 "pass the fault plan either as Campaign.fault_plan or as a "
                 "'fault_plan' parameter, not both"
             )
+
+    def check_params(self) -> None:
+        """Fail fast on parameters the scenario cannot take.
+
+        Binds ``seed`` plus every base, grid and fault-plan parameter
+        name against the scenario's signature, so a typo is one
+        ``TypeError`` naming the parameter, not a traceback in every
+        cell.  An unresolvable scenario raises what
+        :func:`~repro.campaign.scenarios.resolve_scenario` raises.
+        """
+        from repro.campaign.scenarios import resolve_scenario
+
+        names = set(self.base_params) | set(self.grid)
+        if self.fault_plan is not None:
+            names.add("fault_plan")
+        fn = resolve_scenario(self.scenario)
+        try:
+            inspect.signature(fn).bind(0, **dict.fromkeys(names))
+        except TypeError as exc:
+            raise TypeError(
+                f"scenario {self.scenario!r} rejects the parameters: {exc}"
+            ) from None
 
     def _fault_params(self) -> dict:
         """The injected ``fault_plan`` cell parameter (empty when none)."""

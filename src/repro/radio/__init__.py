@@ -32,7 +32,6 @@ from repro.radio.mobility import (
     Waypoint,
     install_mobility,
 )
-from repro.radio.partition import PartitionedMedium
 from repro.radio.modulation import (
     bit_error_rate,
     packet_reception_ratio,
@@ -68,7 +67,6 @@ __all__ = [
     "LQI_MIN",
     "LQI_MAX",
     "RadioMedium",
-    "PartitionedMedium",
     "MOBILITY_KINDS",
     "MobilitySpec",
     "MobilityPlan",

@@ -48,7 +48,7 @@ an affected sender rebuilds both on its next transmission.  A row
 rebuild whose shadowing links were all drawn before consumes no RNG
 (see :meth:`LogDistancePropagation.shadowing_row`), so per-node
 invalidation cannot shift any stream — continuous mobility stays
-byte-identical between the spatial and dense paths.  The
+byte-identical to a dense all-members scan.  The
 ``medium.repositions`` counter and the ``medium.idx.rebuilds`` /
 ``medium.rows.rebuilt`` gauges (shell: ``stats medium.``) account for
 the moves and the rebuild fallout they cause.
@@ -69,11 +69,13 @@ SENSITIVITY_DBM`` **plus** ``RANGE_MARGIN_SIGMAS`` standard deviations of
 (:attr:`LogDistancePropagation.pinned_floor_db`).  A receiver outside
 that radius would fail the sensitivity check with overwhelming
 probability, drawing nothing from the reception/corruption/PHY streams —
-exactly as the dense path classifies it ``out of range``.  Candidate
+exactly as a dense scan would classify it ``out of range``.  Candidate
 sets are enumerated sorted by id, so every stream that is consumed is
-consumed in the historical order.  ``use_spatial_index = False`` restores
-the dense enumeration, and the parity tests in
-``tests/integration/test_spatial_parity.py`` hold the two byte-identical.
+consumed in the historical order.  The medium has no dense mode: the
+parity tests in ``tests/integration/test_spatial_parity.py`` build a
+test-only oracle that pins the range bound past every attached node, so
+each grid query returns the whole channel roster — exactly the dense
+enumeration — and hold the pruned runs byte-identical to it.
 """
 
 from __future__ import annotations
@@ -214,11 +216,10 @@ class _CandidateIndex:
     """Snapshot of one sender's receiver candidates on one channel.
 
     ``ids`` is sorted ascending (the medium's draw-order contract),
-    includes the sender, and — with the spatial index on — only nodes
-    within the conservative maximum radio range of the sender.  With the
-    index off it is the full channel membership (the dense historical
-    behavior).  ``positions`` carries the members' coordinates so loss
-    rows materialize without any global matrix.
+    includes the sender, and holds only nodes within the conservative
+    maximum radio range of the sender.  ``positions`` carries the
+    members' coordinates so loss rows materialize without any global
+    matrix.
     """
 
     __slots__ = ("channel", "token", "ids", "id_arr", "offset_of",
@@ -255,8 +256,7 @@ class _ActiveTransmission:
         #: transmissions farther apart than the sum of their radii have
         #: disjoint candidate disks, so neither can interfere with (or
         #: half-duplex-mute) any receiver of the other — the overlap
-        #: bookkeeping skips such pairs entirely.  Dense-index mediums
-        #: use an infinite radius (candidate sets are unbounded).
+        #: bookkeeping skips such pairs entirely.
         self.pos = pos
         self.gate_m = gate_m
         #: Candidate membership and received powers, snapshotted at
@@ -294,7 +294,6 @@ class RadioMedium:
         propagation: LogDistancePropagation,
         *,
         corrupt_delivery_fraction: float = 0.3,
-        use_spatial_index: bool = True,
     ) -> None:
         self.env = env
         self.monitor = monitor
@@ -313,9 +312,6 @@ class RadioMedium:
         #: Fraction of failed receptions delivered as corrupted bytes (so
         #: the stack's CRC checker sees real work) rather than silence.
         self.corrupt_delivery_fraction = float(corrupt_delivery_fraction)
-        #: ``False`` restores the dense all-members candidate enumeration
-        #: (one shared index per channel); the parity tests flip this.
-        self.use_spatial_index = bool(use_spatial_index)
         #: Cumulative receiver-candidate accounting: how many same-channel
         #: receivers were actually evaluated vs skipped by the spatial
         #: bound.  Mirrored into the ``medium.candidates.considered`` /
@@ -354,22 +350,16 @@ class RadioMedium:
         #: entered or left the node's conservative range disk).  Absent
         #: means 0 — nodes nothing ever moved near pay one dict miss.
         self._nbr_epoch: dict[int, int] = {}
-        #: Total repositions ever applied (the dense index token: with
-        #: the spatial index off, the shared per-channel index snapshots
-        #: every member's position, so any move invalidates it).
-        self._moves = 0
         self._chan_version = 0       # bumped on any channel change
         self._power_version = 0      # bumped on any PA-level change
         self._member_epoch = 0       # bumped on attach only
-        self._roster_epoch = -1      # _member_epoch the roster reflects
-        self._ids: list[int] = []
         self._grid: SpatialGrid | None = None
         self._range_m = 0.0
         self._range_version = 0
         self._range_key: tuple | None = None
         self._power_key: tuple | None = None
         self._max_tx_dbm = 0.0
-        self._idx_cache: dict[_t.Any, _CandidateIndex] = {}
+        self._idx_cache: dict[tuple[int, int], _CandidateIndex] = {}
         self._pop_cache: dict[int, tuple[tuple[int, int], int]] = {}
         self._row_cache: dict[
             tuple[int, int],
@@ -384,15 +374,6 @@ class RadioMedium:
         if node_id in self._xcvrs:
             raise RadioError(f"node {node_id} already attached to the medium")
         xcvr = Transceiver(self, node_id, position, config or RadioConfig())
-        self._adopt(xcvr)
-        return xcvr
-
-    def _adopt(self, xcvr: Transceiver) -> None:
-        """Register an existing transceiver (the facade's partition path
-        hands pre-built transceivers to child mediums)."""
-        node_id = xcvr.node_id
-        if node_id in self._xcvrs:
-            raise RadioError(f"node {node_id} already attached to the medium")
         self._xcvrs[node_id] = xcvr
         xcvr.config._listener = self._invalidate_channels
         xcvr.config._power_listener = self._invalidate_power
@@ -401,6 +382,7 @@ class RadioMedium:
         if self._grid is not None:
             # Keep the grid warm: an attach touches one bucket.
             self._grid.insert(node_id, xcvr._position)
+        return xcvr
 
     def transceiver(self, node_id: int) -> Transceiver:
         """Look up an attached transceiver by node id."""
@@ -423,13 +405,6 @@ class RadioMedium:
 
     # -- cache maintenance -------------------------------------------------
 
-    def _invalidate_topology(self) -> None:
-        """Full topology invalidation (membership or positions changed in
-        a way we could not track incrementally)."""
-        self._geom_epoch += 1
-        self._moves += 1
-        self._grid = None
-
     def _reposition(self, node_id: int, position: tuple[float, float]) -> None:
         """A node moved: update its spatial-index bucket and invalidate
         only the neighborhoods the move could have changed.
@@ -444,7 +419,6 @@ class RadioMedium:
         neighborhood test, so the move falls back to the global epoch —
         correct, and free, because no cache is warm in that state.
         """
-        self._moves += 1
         c = self._c_repositions
         if c is None:
             c = self._c_repositions = self.monitor.counter_obj(
@@ -507,11 +481,6 @@ class RadioMedium:
                 self._range_version += 1
                 self._grid = None  # cell size is stale
 
-    def _ensure_roster(self) -> None:
-        if self._roster_epoch != self._member_epoch:
-            self._ids = sorted(self._xcvrs)
-            self._roster_epoch = self._member_epoch
-
     def _ensure_grid(self) -> SpatialGrid:
         grid = self._grid
         if grid is None:
@@ -524,35 +493,20 @@ class RadioMedium:
     def _cand_index(self, sender_id: int, channel: int) -> _CandidateIndex:
         """The receiver-candidate snapshot for one sender on one channel."""
         self._ensure_range()
-        spatial = self.use_spatial_index
-        if spatial:
-            # Per-node invalidation: the token moves only when *this*
-            # sender's neighborhood epoch does (a node crossed its range
-            # disk), never on an unrelated move across the field.
-            token = (self._geom_epoch, self._nbr_epoch.get(sender_id, 0),
-                     self._chan_version, self._range_version, True)
-            key: _t.Any = (sender_id, channel)
-        else:
-            # Dense: the index is sender-independent, share it per
-            # channel — but it snapshots every member's position, so any
-            # move anywhere (``_moves``) invalidates it.
-            token = (self._geom_epoch, self._moves,
-                     self._chan_version, -1, False)
-            key = channel
+        # Per-node invalidation: the token moves only when *this* sender's
+        # neighborhood epoch does (a node crossed its range disk), never
+        # on an unrelated move across the field.
+        token = (self._geom_epoch, self._nbr_epoch.get(sender_id, 0),
+                 self._chan_version, self._range_version)
+        key = (sender_id, channel)
         idx = self._idx_cache.get(key)
         if idx is not None and idx.token == token:
             return idx
         xcvrs_by_id = self._xcvrs
-        if spatial:
-            grid = self._ensure_grid()
-            near = grid.within(xcvrs_by_id[sender_id]._position,
-                               self._range_m)
-            members = [nid for nid in near
-                       if xcvrs_by_id[nid].config.channel == channel]
-        else:
-            self._ensure_roster()
-            members = [nid for nid in self._ids
-                       if xcvrs_by_id[nid].config.channel == channel]
+        near = self._ensure_grid().within(xcvrs_by_id[sender_id]._position,
+                                          self._range_m)
+        members = [nid for nid in near
+                   if xcvrs_by_id[nid].config.channel == channel]
         xcvrs = [xcvrs_by_id[nid] for nid in members]
         if members:
             positions = np.array([x._position for x in xcvrs], dtype=float)
@@ -658,14 +612,12 @@ class RadioMedium:
                 # inaudible, and skipping it keeps the shadowing stream
                 # untouched.  Otherwise the sampler hopped onto this
                 # channel after the frame started; compute its leakage on
-                # the fly, exactly as the dense path always has.
-                if (self.use_spatial_index
-                        and self.distance(tx.sender, rid) > self.max_range_m):
+                # the fly.
+                dist = self.distance(tx.sender, rid)
+                if dist > self.max_range_m:
                     continue
                 power = self.propagation.mean_received_power_dbm(
-                    tx.tx_power_dbm, tx.sender, rid,
-                    self.distance(tx.sender, rid),
-                )
+                    tx.tx_power_dbm, tx.sender, rid, dist)
             powers.append(power)
         floor = NOISE_FLOOR_DBM
         faults = self.faults
@@ -699,8 +651,6 @@ class RadioMedium:
         pruned = self._channel_population(channel) - 1 - count
         self.candidates_considered += count
         self.candidates_pruned += pruned
-        # Incremented, not assigned: partitioned runs share one gauge
-        # across several child mediums, each with its own totals.
         self._gauge_considered.value += count
         self._gauge_pruned.value += pruned
         prop = self.propagation
@@ -714,7 +664,7 @@ class RadioMedium:
         rx_list: list[float] = (tx_power - loss).tolist() if count else []
         rx_list.insert(idx.offset_of[sender_id], float("-inf"))
 
-        gate_m = self.max_range_m if self.use_spatial_index else math.inf
+        gate_m = self._range_m
         tx = _ActiveTransmission(
             sender_id, channel, tx_power, now, now + airtime, idx, rx_list,
             xcvr._position, gate_m
@@ -1018,7 +968,7 @@ class RadioMedium:
         # An addressed destination the spatial bound excluded never
         # appears in the loop above; its lifecycle trace still owes the
         # "where did my packet go" answer.  No RNG: the estimate is
-        # deterministic loss only (the dense path's drawn value would
+        # deterministic loss only (a dense scan's drawn value would
         # differ by at most the stochastic terms, both irrelevant this
         # far below sensitivity).
         if (trace_on and not is_broadcast and dst is not None

@@ -348,17 +348,21 @@ class ServeApp:
         "repeats"?, "base_params"?, "grid"?, "workers"?, "shard"?:
         [k, of], "timeout_s"?, "retries"?}``.  Cells execute in the
         warm pool's worker processes; only queue plumbing runs in this
-        process, so the served fleets' determinism is untouched.
+        process, so the served fleets' determinism is untouched.  Only
+        registered scenario names are accepted: a ``"module:function"``
+        reference would let any client make the server import a module.
         """
-        from repro.campaign import Campaign, default_workers
-        from repro.campaign.scenarios import resolve_scenario
+        from repro.campaign import Campaign, default_workers, scenario_names
 
         payload = request.json()
         if not isinstance(payload, dict):
             raise HttpError(400, "body must be a JSON object")
         try:
             scenario = payload["scenario"]
-            resolve_scenario(scenario)
+            if scenario not in scenario_names():
+                raise HttpError(
+                    400, f"unknown scenario {scenario!r}; registered: "
+                         f"{scenario_names()}")
             name = str(payload.get("name", scenario))
             campaign = Campaign(
                 name=name, scenario=scenario,
@@ -368,6 +372,7 @@ class ServeApp:
                 repeats=int(payload.get("repeats", 1)),
                 fault_plan=payload.get("fault_plan"),
             )
+            campaign.check_params()
             target: object = campaign
             if payload.get("shard") is not None:
                 index, of = payload["shard"]

@@ -78,3 +78,26 @@ def test_runspec_roundtrips_through_dict():
     spec = Campaign(name="c", scenario="s", seed=2,
                     grid={"x": [1]}, repeats=1).expand()[0]
     assert RunSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_check_params_binds_base_grid_and_fault_plan_names():
+    Campaign(name="c", scenario="chain_beacons", base_params={"seconds": 5.0},
+             grid={"nodes": [3, 4]}).check_params()
+    # A fault plan is a parameter too: a scenario without one rejects it.
+    with pytest.raises(TypeError, match="fault_plan"):
+        Campaign(name="c", scenario="fig5_traceroute",
+                 fault_plan={"enabled": False}).check_params()
+    # module:function references still resolve outside the server.
+    Campaign(name="c", scenario="tests.campaign._pool_scenarios:sleepy",
+             base_params={"duration": 0.0}).check_params()
+
+
+def test_campaign_cli_rejects_unknown_parameter_before_running(capsys):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["campaign", "--scenario", "chain_beacons", "--param", "node=3"])
+    assert exit_info.value.code != 0
+    assert "'node'" in str(exit_info.value.code)
+    # Nothing ran: the run banner is printed only after validation.
+    assert "runs" not in capsys.readouterr().err

@@ -8,18 +8,40 @@ indexed medium to *byte-identical* packet digests and counter
 snapshots against the dense path — on the paper's 30- and 100-node
 fields (where nothing is prunable) and on a district scenario where
 pruning is actually active.
+
+The dense path is a test-only oracle, :class:`DenseOracleMedium`: the
+production medium with its range bound pinned past every node, so each
+grid query returns the sender's whole channel roster, sorted by id.
 """
 
 import pytest
 
 from repro.core.deploy import deploy_liteview
+from repro.kernel import testbed as testbed_module
+from repro.radio import RadioMedium
 from repro.workloads import build_city, hundred_node_field, thirty_node_field
 from repro.workloads.scenarios import QUIET_PROPAGATION
 
+#: Farther than any two nodes of any scenario here (moves included).
+_ORACLE_RANGE_M = 1e9
 
-def _run(factory, use_spatial_index: bool, warm_up: float = 30.0):
-    testbed = factory()
-    testbed.medium.use_spatial_index = use_spatial_index
+
+class DenseOracleMedium(RadioMedium):
+    """Every attached radio is in range of every other: no pruning."""
+
+    def _ensure_range(self) -> None:
+        if self._range_m != _ORACLE_RANGE_M:
+            self._range_m = _ORACLE_RANGE_M
+            self._range_version += 1
+            self._grid = None
+
+
+def _run(factory, indexed: bool, warm_up: float = 30.0):
+    with pytest.MonkeyPatch.context() as patch:
+        if not indexed:
+            patch.setattr(testbed_module, "RadioMedium", DenseOracleMedium)
+        testbed = factory()
+    assert isinstance(testbed.medium, DenseOracleMedium) is not indexed
     deploy_liteview(testbed, warm_up=warm_up)
     return testbed
 

@@ -183,24 +183,6 @@ def test_cold_move_falls_back_to_global_epoch(quiet_world):
     assert m._geom_epoch == geom + 1
 
 
-def test_dense_index_invalidates_on_any_move(quiet_world):
-    """The dense (no-pruning) index snapshots every position, so a move
-    anywhere must invalidate it — the ``_moves`` token guards that."""
-    m = quiet_world.medium
-    m.use_spatial_index = False
-    a1, _, b2 = m.attach(1, (0.0, 0.0)), m.attach(2, (5.0, 0.0)), \
-        m.attach(3, (FAR, 0.0))
-    ch = a1.config.channel
-    # Warm the spatial caches too, so the incremental move path runs.
-    m.use_spatial_index = True
-    m._cand_index(1, ch)
-    m.use_spatial_index = False
-    idx = m._cand_index(1, ch)
-
-    b2.position = (FAR + 1.0, 0.0)  # far away, but dense sees everyone
-    assert m._cand_index(1, ch) is not idx
-
-
 def test_reposition_counter_is_lazy(quiet_world):
     """``medium.repositions`` must stay out of counter snapshots until a
     node actually moves (golden fixtures snapshot all live counters)."""

@@ -53,6 +53,33 @@ def test_ambient_power_after_channel_hop_mid_frame(quiet_world):
     assert readings[0] > NOISE_FLOOR_DBM + 10
 
 
+def test_ambient_power_ignores_out_of_range_sender_after_hop(world):
+    """A scanner beyond ``max_range_m`` hopping onto a busy channel
+    mid-frame reads the bare noise floor, and the skip draws nothing: no
+    shadowing link is materialized for the inaudible pair."""
+    medium = world.medium
+    a = medium.attach(1, (0.0, 0.0), RadioConfig(channel=20))
+    b = medium.attach(2, (500_000.0, 0.0), RadioConfig(channel=17))
+    assert medium.distance(1, 2) > medium.max_range_m
+    readings = []
+
+    def tx():
+        yield medium.transmit(a, Frame(src=1, dst=BROADCAST,
+                                       payload=bytes(100)))
+
+    def hop_and_sample():
+        yield world.env.timeout(0.001)
+        links = dict(world.propagation._shadowing)
+        b.config.set_channel(20)  # hop onto the busy channel mid-frame
+        readings.append(medium.ambient_power_dbm(b))
+        readings.append(links == world.propagation._shadowing)
+
+    world.env.process(tx())
+    world.env.process(hop_and_sample())
+    world.env.run()
+    assert readings == [NOISE_FLOOR_DBM, True]
+
+
 def test_ambient_excludes_own_transmission(quiet_world):
     a = quiet_world.medium.attach(1, (0.0, 0.0))
     readings = []

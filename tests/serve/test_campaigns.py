@@ -98,6 +98,9 @@ def test_campaign_validation_and_lookup_errors():
             for bad in (
                 {},                                   # no scenario
                 {"scenario": "no-such-scenario"},     # unknown scenario
+                # A valid module:function scenario: CLI and API only.
+                {"scenario": "tests.campaign._pool_scenarios:sleepy"},
+                dict(BODY, grid={"node": [3, 4]}),    # unknown parameter
                 dict(BODY, repeats=0),                # invalid repeats
                 dict(BODY, shard=[5, 2]),             # index out of range
             ):
